@@ -24,6 +24,7 @@ OS migration loop.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,8 +57,9 @@ from repro.thermal.layouts import (
     core_block_name,
 )
 from repro.thermal.coupling import LeakageCouplingError, coupled_steady_state
+from repro.thermal.floorplan import Floorplan
 from repro.thermal.leakage import LeakageModel
-from repro.thermal.model import ThermalKernel, ThermalModel
+from repro.thermal.model import ThermalModel, shared_kernel
 from repro.thermal.package import HIGH_PERFORMANCE_PACKAGE, ThermalPackage
 from repro.uarch.config import MachineConfig
 from repro.uarch.interval_model import UNIT_ORDER
@@ -215,12 +217,14 @@ class ThermalTimingSimulator:
         """Assemble the full simulated machine for one run.
 
         ``substrate`` optionally shares construction-time artifacts
-        (floorplan, factored thermal kernel, generated traces) across
+        (the floorplan and the hot-loop views of the traces) across
         simulators of the same machine/package; it must match the
-        config's machine description. Every shared artifact is
-        deterministic in its inputs, so a substrate-built simulator is
-        bit-identical to a standalone one (asserted in
-        ``tests/sim/test_fleet.py``).
+        config's machine description. The thermal kernel, leakage
+        weights, index tables and traces are memoised per chip for every
+        simulator. Every shared artifact is deterministic in its inputs,
+        so a substrate-built simulator is bit-identical to a standalone
+        one (asserted in ``tests/sim/test_fleet.py`` and
+        ``tests/sim/test_memo.py``).
         """
         self.config = config or SimulationConfig()
         self.event_log = event_log
@@ -242,15 +246,12 @@ class ThermalTimingSimulator:
         self.n_cores = machine.n_cores
 
         # Substrates. A shared EngineSubstrate supplies the identical
-        # floorplan/kernel/trace objects this block would otherwise
-        # build from scratch.
+        # floorplan this block would otherwise look up; either way the
+        # thermal model runs on the floorplan's shared kernel.
         self._substrate = substrate
         if substrate is not None:
             substrate.check(self.config)
             self.floorplan = substrate.floorplan
-            self.thermal = ThermalModel(
-                self.floorplan, substrate.package, self.dt, kernel=substrate.kernel
-            )
         else:
             scenario = self.config.scenario
             self.floorplan = (
@@ -260,7 +261,7 @@ class ThermalTimingSimulator:
                     machine.n_cores, core_sizes_mm=self.config.core_sizes_mm
                 )
             )
-            self.thermal = ThermalModel(self.floorplan, self.config.package, self.dt)
+        self.thermal = ThermalModel(self.floorplan, self.config.package, self.dt)
         power_model = PowerModel(machine, scale=self.config.power_scale)
         scenario = self.config.scenario
         if scenario is not None:
@@ -287,22 +288,16 @@ class ThermalTimingSimulator:
             ]
         else:
             core_scales = [self.config.power_scale] * self.n_cores
-        if substrate is not None:
-            traces = [
-                substrate.trace(entry, self.config, power_scale=core_scales[i])
-                for i, entry in enumerate(self._profiles)
-            ]
-        else:
-            traces = [
-                generate_trace(
-                    entry,
-                    machine,
-                    duration_s=self.config.trace_duration_s,
-                    seed=self.config.seed,
-                    power_scale=core_scales[i],
-                )
-                for i, entry in enumerate(self._profiles)
-            ]
+        traces = [
+            generate_trace(
+                entry,
+                machine,
+                duration_s=self.config.trace_duration_s,
+                seed=self.config.seed,
+                power_scale=core_scales[i],
+            )
+            for i, entry in enumerate(self._profiles)
+        ]
         processes = [
             Process(pid=i, benchmark=name, trace=trace)
             for i, (name, trace) in enumerate(zip(self.benchmarks, traces))
@@ -359,30 +354,14 @@ class ThermalTimingSimulator:
             else None
         )
 
-        # Precomputed indices into the thermal network.
+        # Precomputed indices into the thermal network, shared by every
+        # simulator of this chip (read-only).
         net = self.thermal.network
-        self._core_unit_idx = np.array(
-            [
-                [net.index(core_block_name(c, u)) for u in UNIT_ORDER]
-                for c in range(self.n_cores)
-            ],
-            dtype=int,
-        )
-        self._hotspot_idx = np.array(
-            [
-                [net.index(core_block_name(c, u)) for u in HOTSPOT_UNITS]
-                for c in range(self.n_cores)
-            ],
-            dtype=int,
-        )
-        self._l2_idx = np.array(
-            [net.index(f"l2_{c}") for c in range(self.n_cores)], dtype=int
-        )
-        self._xbar_idx = net.index("xbar")
-        # Ownership of blocks by core (-1 = shared), for leakage V^2 scaling.
-        self._block_core = np.full(net.n_blocks, -1, dtype=int)
-        for c in range(self.n_cores):
-            self._block_core[self._core_unit_idx[c]] = c
+        chip = _chip_index(self.floorplan, net, self.n_cores)
+        self._core_unit_idx = chip.core_unit_idx
+        self._hotspot_idx = chip.hotspot_idx
+        self._l2_idx = chip.l2_idx
+        self._xbar_idx = chip.xbar_i
 
         # Mutable run state. Stall deadlines live in a plain list: the
         # step loop reads one scalar per core per step, and list indexing
@@ -405,18 +384,11 @@ class ThermalTimingSimulator:
 
         # Hot-path scratch buffers, reused every step. The step loop
         # writes every element of the power buffer each step (the three
-        # index families partition the block set — checked here), so no
-        # per-step zeroing is needed.
-        self._unit_flat = self._core_unit_idx.reshape(-1)
-        self._l2_idx_list = [int(i) for i in self._l2_idx]
-        self._xbar_i = int(self._xbar_idx)
-        covered = sorted(
-            self._unit_flat.tolist() + self._l2_idx_list + [self._xbar_i]
-        )
-        if covered != list(range(net.n_blocks)):
-            raise RuntimeError(
-                "power indices do not partition the floorplan blocks"
-            )
+        # index families partition the block set — checked once per chip
+        # by _chip_index), so no per-step zeroing is needed.
+        self._unit_flat = chip.unit_flat
+        self._l2_idx_list = chip.l2_idx_list
+        self._xbar_i = chip.xbar_i
         n_units = len(UNIT_ORDER)
         self._power_buf = np.zeros(net.n_blocks)
         self._unit_pw_buf = np.empty((self.n_cores, n_units))
@@ -518,14 +490,28 @@ class ThermalTimingSimulator:
         p[self._xbar_idx] = self.config.power_scale * XBAR_PEAK_W * XBAR_IDLE_FRACTION
         return p
 
-    def _warm_temps(self, frac: float) -> np.ndarray:
-        """Leakage-consistent steady temperatures at a power fraction."""
-        temps, _ = coupled_steady_state(
-            self.thermal, self.leakage, self._warm_power(frac), tolerance_c=1e-3
-        )
+    def _warm_temps(
+        self, frac: float, memo: Optional[Dict[float, np.ndarray]] = None
+    ) -> np.ndarray:
+        """Leakage-consistent steady temperatures at a power fraction.
+
+        ``memo`` maps fractions to solved temperatures (read-only) for
+        simulators whose solves are interchangeable; see
+        :meth:`_warm_start`.
+        """
+        temps = memo.get(frac) if memo is not None else None
+        if temps is None:
+            temps, _ = coupled_steady_state(
+                self.thermal,
+                self.leakage,
+                self._warm_power(frac),
+                tolerance_c=1e-3,
+            )
+            if memo is not None:
+                memo[frac] = temps
         return temps
 
-    def _warm_start(self) -> None:
+    def _warm_start(self, memo: Optional[Dict[float, np.ndarray]] = None) -> None:
         """Initialize temperatures at a throttled-equilibrium steady state.
 
         Real measurement runs start from a thermally settled machine (the
@@ -534,6 +520,12 @@ class ThermalTimingSimulator:
         sits just below the threshold. If even full trace-mean power stays
         below the threshold, the workload is thermally unconstrained and
         full power is used.
+
+        ``memo`` shares steady-state solves between simulators of one
+        chip, workload, trace, seed and power scale that differ only in
+        their threshold: their bisections evaluate the same fractions
+        until they part, and each solve is a pure function of the
+        fraction. The fleet engine passes one per such family per run.
         """
         frac = self.config.warm_start_fraction
         n_blocks = self.thermal.network.n_blocks
@@ -543,7 +535,7 @@ class ThermalTimingSimulator:
             # A diverging leakage fixed point means the operating point is
             # unsustainable — for bisection purposes, "infinitely hot".
             try:
-                return float(self._warm_temps(fraction)[:n_blocks].max())
+                return float(self._warm_temps(fraction, memo)[:n_blocks].max())
             except LeakageCouplingError:
                 return float("inf")
 
@@ -560,7 +552,7 @@ class ThermalTimingSimulator:
                     else:
                         lo = mid
                 frac = lo
-        self.thermal.set_temperatures(self._warm_temps(frac))
+        self.thermal.set_temperatures(self._warm_temps(frac, memo))
 
     # -- main loop ------------------------------------------------------------
 
@@ -1294,6 +1286,76 @@ class ThermalTimingSimulator:
         )
 
 
+class _ChipIndex:
+    """Per-chip index tables into the thermal network (read-only).
+
+    Pure functions of the floorplan's block names and the core count,
+    so they are built once per floorplan by :func:`_chip_index` and
+    shared by every simulator of that chip instead of being rebuilt by
+    name lookups for every point.
+    """
+
+    __slots__ = (
+        "core_unit_idx",
+        "hotspot_idx",
+        "l2_idx",
+        "l2_idx_list",
+        "xbar_i",
+        "unit_flat",
+    )
+
+    def __init__(self, net, n_cores: int):
+        """Look every per-core block up once and check the partition."""
+        self.core_unit_idx = _frozen_array(
+            [
+                [net.index(core_block_name(c, u)) for u in UNIT_ORDER]
+                for c in range(n_cores)
+            ]
+        )
+        self.hotspot_idx = _frozen_array(
+            [
+                [net.index(core_block_name(c, u)) for u in HOTSPOT_UNITS]
+                for c in range(n_cores)
+            ]
+        )
+        self.l2_idx = _frozen_array([net.index(f"l2_{c}") for c in range(n_cores)])
+        self.l2_idx_list = [int(i) for i in self.l2_idx]
+        self.xbar_i = net.index("xbar")
+        self.unit_flat = self.core_unit_idx.reshape(-1)
+        covered = sorted(
+            self.unit_flat.tolist() + self.l2_idx_list + [self.xbar_i]
+        )
+        if covered != list(range(net.n_blocks)):
+            raise RuntimeError(
+                "power indices do not partition the floorplan blocks"
+            )
+
+
+def _frozen_array(rows) -> np.ndarray:
+    """An integer index array that cannot be written through."""
+    arr = np.array(rows, dtype=int)
+    arr.flags.writeable = False
+    return arr
+
+
+#: Chip index tables keyed by floorplan *object* (weak, so a discarded
+#: plan frees them) then by core count.
+_CHIP_INDEX_CACHE: "weakref.WeakKeyDictionary[Floorplan, Dict[int, _ChipIndex]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _chip_index(floorplan: Floorplan, net, n_cores: int) -> _ChipIndex:
+    """The memoised :class:`_ChipIndex` of ``floorplan`` (network ``net``)."""
+    per_plan = _CHIP_INDEX_CACHE.get(floorplan)
+    if per_plan is None:
+        per_plan = _CHIP_INDEX_CACHE.setdefault(floorplan, {})
+    chip = per_plan.get(n_cores)
+    if chip is None:
+        chip = per_plan.setdefault(n_cores, _ChipIndex(net, n_cores))
+    return chip
+
+
 class _TraceAux:
     """Hot-loop view of one power trace.
 
@@ -1458,18 +1520,19 @@ class EngineSubstrate:
     Holds everything about a simulator that is a pure deterministic
     function of the machine description rather than of any one run: the
     floorplan, the factored :class:`~repro.thermal.model.ThermalKernel`
-    (network + LU + propagator cache), and a cache of generated power
-    traces with their :class:`_TraceAux` hot-loop views. Building N
-    simulators on one substrate pays for ``expm`` and trace synthesis
-    once instead of N times; because every cached artifact is
-    deterministic in its key, substrate-built simulators are
-    bit-identical to standalone ones.
+    (network + LU + propagator cache, the memoised
+    :func:`~repro.thermal.model.shared_kernel` of the chip) and the
+    :class:`_TraceAux` hot-loop views of the traces its simulators run.
+    Traces themselves come from the process-wide bounded trace cache
+    (:func:`~repro.uarch.tracegen.generate_trace`); a view lives exactly
+    as long as its trace. Because every shared artifact is deterministic
+    in its key, substrate-built simulators are bit-identical to
+    standalone ones.
 
     A substrate is compatible with a :class:`SimulationConfig` iff the
     machine, package, core sizes and scenario agree (:meth:`matches`);
     per-run knobs (duration, threshold, seed, power scale, trace
-    duration) vary freely — traces are cached per (benchmark, trace
-    duration, seed, effective power scale).
+    duration) vary freely.
     """
 
     def __init__(
@@ -1491,11 +1554,11 @@ class EngineSubstrate:
                 self.machine.n_cores, core_sizes_mm=core_sizes_mm
             )
         )
-        self.kernel = ThermalKernel(self.floorplan, package)
+        self.kernel = shared_kernel(self.floorplan, package)
         # Pre-warm the propagator every simulator on this machine needs.
         self.kernel.operator_for(self.machine.sample_period_s)
-        self._traces: Dict[tuple, object] = {}
-        self._aux: Dict[int, _TraceAux] = {}
+        # id(trace) -> (weak reference to the trace, its view).
+        self._aux: Dict[int, Tuple[weakref.ref, _TraceAux]] = {}
 
     @classmethod
     def for_config(cls, config: SimulationConfig) -> "EngineSubstrate":
@@ -1525,48 +1588,29 @@ class EngineSubstrate:
                 "be equal"
             )
 
-    def trace(self, entry, config: SimulationConfig, power_scale=None):
-        """The (cached) power trace for one benchmark under ``config``.
-
-        ``power_scale`` overrides the config's chip-level scale (the
-        engine passes per-core effective scales under a scenario);
-        ``None`` uses ``config.power_scale``. Only string benchmark
-        names are cached; profile objects (the SMT extension) are
-        regenerated per call.
-        """
-        scale = config.power_scale if power_scale is None else power_scale
-        if not isinstance(entry, str):
-            return generate_trace(
-                entry,
-                self.machine,
-                duration_s=config.trace_duration_s,
-                seed=config.seed,
-                power_scale=scale,
-            )
-        key = (
-            entry,
-            float(config.trace_duration_s),
-            int(config.seed),
-            float(scale),
-        )
-        trace = self._traces.get(key)
-        if trace is None:
-            trace = generate_trace(
-                entry,
-                self.machine,
-                duration_s=config.trace_duration_s,
-                seed=config.seed,
-                power_scale=scale,
-            )
-            self._traces[key] = trace
-        return trace
-
     def trace_aux(self, trace) -> _TraceAux:
-        """The (cached) hot-loop view of a trace produced by :meth:`trace`."""
-        aux = self._aux.get(id(trace))
-        if aux is None:
-            aux = _TraceAux(trace)
-            self._aux[id(trace)] = aux
+        """The hot-loop view of ``trace``, shared while the trace lives.
+
+        Views are keyed by the trace's identity and dropped by a
+        weak-reference callback when the trace is freed (evicted from
+        the trace cache and run by no simulator), so the memo never
+        outgrows the live traces. A lookup also checks that the stored
+        reference still points at ``trace``: an ``id()`` recycled by a
+        new trace can never alias an old trace's view.
+        """
+        key = id(trace)
+        entry = self._aux.get(key)
+        if entry is not None and entry[0]() is trace:
+            return entry[1]
+        aux = _TraceAux(trace)
+        views = self._aux
+
+        def drop(ref, key=key):
+            """Forget the view once its trace is freed (never a newer one)."""
+            if views.get(key, (None,))[0] is ref:
+                views.pop(key, None)
+
+        views[key] = (weakref.ref(trace, drop), aux)
         return aux
 
 

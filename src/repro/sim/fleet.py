@@ -19,7 +19,9 @@ full 12-policy taxonomy). Three design rules make that possible:
   assembly, leakage, metric folds) is batched — IEEE elementwise ops
   are bit-equal regardless of array shape. Reductions that are *not*
   shape-invariant (``np.sum`` is pairwise, not a left fold) are written
-  as explicit per-core folds, matching the scalar engine's loop order.
+  as strict left folds over cores (``np.add.accumulate`` over a seeded
+  stack, see :func:`_left_folds`), matching the scalar engine's loop
+  order without a Python loop per core.
 * The thermal update is **one einsum per step** over the whole live
   batch (:meth:`~repro.thermal.model.StepOperator.apply_batch`).
   einsum's per-element summation order is shape-invariant, so row ``i``
@@ -150,6 +152,43 @@ class _LiveMetrics:
         self.per_core_instructions = per_core_instructions
 
 
+def _left_folds(seeds, cols) -> np.ndarray:
+    """Per-row strict left folds ``((seed + col[:, 0]) + col[:, 1]) + ...``.
+
+    Each ``(m, C)`` column block in ``cols`` is folded over its columns,
+    starting from the matching ``(m,)`` seed, into one ``(len(cols), m)``
+    result. ``np.add.accumulate`` adds one column at a time in order —
+    exactly the scalar engine's per-core Python loop — where ``np.sum``
+    would add pairwise and differ in the last bits. One accumulate over
+    a seeded ``(q, m, 1 + C)`` stack replaces ``q * C`` per-core adds.
+    """
+    m, n_cols = cols[0].shape
+    seeded = np.empty((len(cols), m, n_cols + 1))
+    for j, (seed, col) in enumerate(zip(seeds, cols)):
+        seeded[j, :, 0] = seed
+        seeded[j, :, 1:] = col
+    return np.add.accumulate(seeded, axis=2)[:, :, -1]
+
+
+def _python_max_fold(values: np.ndarray) -> np.ndarray:
+    """Per-row Python ``max`` over the last axis, NaN semantics included.
+
+    Python's ``max`` keeps its running value unless an item is strictly
+    greater, so a NaN first item is kept (nothing compares greater than
+    it) and later NaNs are skipped (they never compare greater). Masking
+    NaNs to ``-inf`` and taking the first occurrence of the maximum
+    (``argmax``) selects the same element; a NaN first item then
+    overrides. A selection, not arithmetic, so the result is bitwise the
+    scalar fold's — unlike ``values.max()``, which propagates any NaN.
+    """
+    masked = np.where(np.isnan(values), -np.inf, values)
+    first_max = np.take_along_axis(
+        masked, masked.argmax(axis=-1)[..., None], axis=-1
+    )[..., 0]
+    first = values[..., 0]
+    return np.where(np.isnan(first), first, first_max)
+
+
 def _member_tuple(entry):
     """Normalise a batch entry to ``(workload, spec, config)``."""
     if isinstance(entry, tuple):
@@ -250,7 +289,13 @@ class FleetEngine:
         return substrate
 
     def _warm_key(self, member: _Member) -> tuple:
-        """Warm-start sharing key: members with equal keys get equal states."""
+        """Warm-start sharing key: members with equal keys get equal states.
+
+        The first five entries name the warm-start *family*: members
+        that differ only in fraction and threshold solve the same steady
+        states, so they share one solve memo (see
+        ``ThermalTimingSimulator._warm_start``).
+        """
         cfg = member.sim.config
         frac = cfg.warm_start_fraction
         return (
@@ -302,12 +347,13 @@ class FleetEngine:
     def run(self) -> List[RunResult]:
         """Execute every member and return results in input order."""
         warm_cache: Dict[tuple, np.ndarray] = {}
+        solve_memos: Dict[tuple, Dict[float, np.ndarray]] = {}
         for member in self.members:
             sim = member.sim
             key = self._warm_key(member)
             temps = warm_cache.get(key)
             if temps is None:
-                sim._warm_start()
+                sim._warm_start(solve_memos.setdefault(key[:5], {}))
                 warm_cache[key] = sim.thermal.temperatures.copy()
             else:
                 sim.thermal.set_temperatures(temps)
@@ -397,6 +443,7 @@ class _GroupBase:
         self.max_t = np.full(n, -273.15)
         self.emerg = np.zeros(n)
         self.pci = np.zeros((n, C))
+        self.zeros = np.zeros(n)
 
         # Per-(chip, pid) performance counters and trace positions.
         self.c_instr = np.zeros((n, C))
@@ -455,21 +502,28 @@ class _GroupBase:
     # -- shared helpers ----------------------------------------------------
 
     def _step_metrics(self, m, work, stalled, frozen, instr_mat, mt):
-        """Fold one step into the batched accumulators, scalar fold order."""
+        """Fold one step into the batched accumulators, scalar fold order.
+
+        ``MetricsAccumulator.record_step`` adds core by core into the
+        running totals and sums the step's instructions from zero before
+        adding them; :func:`_left_folds` replays both orders. A frozen
+        core adds ``dt`` and a running one adds ``0.0``, which leaves the
+        (non-negative) total bit-for-bit unchanged.
+        """
         dt = self.dt
         self.wall[:m] += dt
-        tmp = np.zeros(m)
-        for c in range(self.n_cores):
-            self.work_t[:m] += work[:, c]
-            self.stall_t[:m] += stalled[:, c]
-            if frozen is not None:
-                fmask = frozen[:, c]
-                if fmask.any():
-                    ft = self.frozen_t[:m]
-                    ft[fmask] += dt
-            self.pci[:m, c] += instr_mat[:, c]
-            tmp += instr_mat[:, c]
-        self.instr_tot[:m] += tmp
+        seeds = [self.work_t[:m], self.stall_t[:m], self.zeros[:m]]
+        cols = [work, stalled, instr_mat]
+        if frozen is not None:
+            seeds.append(self.frozen_t[:m])
+            cols.append(np.where(frozen, dt, 0.0))
+        folded = _left_folds(seeds, cols)
+        self.work_t[:m] = folded[0]
+        self.stall_t[:m] = folded[1]
+        self.instr_tot[:m] += folded[2]
+        if frozen is not None:
+            self.frozen_t[:m] = folded[3]
+        self.pci[:m] += instr_mat
         hotter = mt > self.max_t[:m]
         np.copyto(self.max_t[:m], mt, where=hotter)
         em = self.emerg[:m]
@@ -862,15 +916,10 @@ class _StepwiseGroup(_GroupBase):
                 if self.scope == "distributed":
                     req = self.bank.step_prefix(m, hot)
                 else:
-                    # Chip-hot as the scalar's Python ``max`` left fold
-                    # (update only on strictly-greater), so a NaN core
-                    # reading falls through instead of poisoning the
-                    # chip maximum as hot.max(axis=1) would.
-                    chip_hot = hot[:, 0]
-                    for c in range(1, C):
-                        col = hot[:, c]
-                        chip_hot = np.where(col > chip_hot, col, chip_hot)
-                    g = self.bank.step_prefix(m, chip_hot)
+                    # Chip-hot as the scalar's Python ``max`` fold, so a
+                    # NaN core reading falls through instead of poisoning
+                    # the chip maximum as hot.max(axis=1) would.
+                    g = self.bank.step_prefix(m, _python_max_fold(hot))
                     req = np.broadcast_to(g[:, None], (m, C))
                 cur = self.cur[:m]
                 accept = np.abs(req - cur) >= self.mta[:m]
@@ -973,9 +1022,7 @@ class _StepwiseGroup(_GroupBase):
             dyn = af if dyn_mult is None else dyn_mult * af
             scaled = u_pw * dyn[:, :, None]
             l2_act = l2v * s_eff * af
-            total_l2 = np.zeros(m)
-            for c in range(C):
-                total_l2 += l2_act[:, c]
+            total_l2 = _left_folds([self.zeros[:m]], [l2_act])[0]
 
             p = self.pbuf[:m]
             p[:, self.unit_flat] = scaled.reshape(m, -1)
@@ -1101,6 +1148,8 @@ class _FusedGroup(_GroupBase):
         any_tel = any(st > 0 for st in self.tel_stride)
         tel_scales = [1.0] * C
         nominal = self.nominal_cycles
+        dt_cols = np.full((n, C), dt)
+        zero_cols = np.zeros((n, C))
 
         while start < total_steps:
             while alive > 0 and n_steps[alive - 1] <= start:
@@ -1151,18 +1200,11 @@ class _FusedGroup(_GroupBase):
                 # reduction order, so the batched axis-max matches the
                 # scalar engine's per-chip max bit for bit.
                 mtj = nT[:, :nb].max(axis=1)
-                # Metrics fold: work dt per core, no stalls, no freezes.
-                self.wall[:m] += dt
-                tmp = np.zeros(m)
-                for c in range(C):
-                    self.work_t[:m] += dt
-                    self.pci[:m, c] += ig[:, c, j]
-                    tmp += ig[:, c, j]
-                self.instr_tot[:m] += tmp
-                hotter = mtj > self.max_t[:m]
-                np.copyto(self.max_t[:m], mtj, where=hotter)
-                em = self.emerg[:m]
-                em[mtj > self.emerg_thresh[:m]] += dt
+                # Metrics fold: work dt per core, no stalls, no freezes
+                # (adding the zero stalls keeps the zero total exact).
+                self._step_metrics(
+                    m, dt_cols[:m], zero_cols[:m], None, ig[:, :, j], mtj
+                )
                 if any_tel:
                     g_step = start + j
                     for i in range(m):

@@ -65,13 +65,19 @@ class MetricsAccumulator:
         if len(core_work_s) != self.n_cores:
             raise ValueError("one work entry per core required")
         self.wall_time_s += dt
+        # The step's instructions are a plain left fold from 0.0, not
+        # ``sum()``: from Python 3.12 ``sum`` of floats is compensated,
+        # which would make totals depend on the interpreter version and
+        # differ from the fleet engine's fold (repro.sim.fleet).
+        step_instructions = 0.0
         for core in range(self.n_cores):
             self.work_time_s += core_work_s[core]
             self.stall_time_s += core_stall_s[core]
             if core_frozen[core]:
                 self.frozen_time_s += dt
             self.per_core_instructions[core] += core_instructions[core]
-        self.instructions += sum(core_instructions)
+            step_instructions += core_instructions[core]
+        self.instructions += step_instructions
         if max_temp_c > self.max_temp_c:
             self.max_temp_c = max_temp_c
         if max_temp_c > self.threshold_c + EMERGENCY_TOLERANCE_C:

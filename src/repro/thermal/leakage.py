@@ -18,7 +18,8 @@ structures leak more per area than random logic at matched temperature).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+import weakref
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +51,27 @@ _UNIT_LEAKAGE_DENSITY: Dict[str, float] = {
 #: L2 SRAM leaks densely but is held at a lower activity corner.
 _L2_LEAKAGE_DENSITY = 0.8
 
+#: Per-block ``density x area`` weights and their total, memoised per
+#: floorplan *object* (weak, so a discarded plan frees its weights), as
+#: ``repro.thermal.rc_network`` memoises networks. The weights depend on
+#: block names and areas only, so every leakage model over one floorplan
+#: shares one read-only array.
+_WEIGHT_CACHE: "weakref.WeakKeyDictionary[Floorplan, Tuple[np.ndarray, float]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _block_weights(floorplan: Floorplan) -> Tuple[np.ndarray, float]:
+    """The (shared, read-only) per-block leakage weights and their sum."""
+    cached = _WEIGHT_CACHE.get(floorplan)
+    if cached is None:
+        weights = np.array(
+            [LeakageModel._density(b.name) * b.area_mm2 for b in floorplan.blocks]
+        )
+        weights.flags.writeable = False
+        cached = _WEIGHT_CACHE.setdefault(floorplan, (weights, weights.sum()))
+    return cached
+
 
 class LeakageModel:
     """Per-block exponential leakage model.
@@ -79,12 +101,12 @@ class LeakageModel:
         self.floorplan = floorplan
         self.beta = float(beta)
         self.t_ref_c = float(t_ref_c)
-        weights = np.array(
-            [self._density(b.name) * b.area_mm2 for b in floorplan.blocks]
-        )
-        total_weight = weights.sum()
+        weights, total_weight = _block_weights(floorplan)
         if total_weight <= 0:
             raise ValueError("floorplan has no leaking area")
+        #: Per-block ``density x area`` weights, shared by every model
+        #: over this floorplan (read-only).
+        self.block_weights = weights
         #: Per-block leakage at the reference temperature (W).
         self.reference_w = total_reference_w * weights / total_weight
 

@@ -22,11 +22,14 @@ propagator cache) is stateless with respect to any particular chip's
 temperature trajectory, so it lives in :class:`ThermalKernel` and can be
 shared by any number of :class:`ThermalModel` instances over the same
 floorplan and package — the fleet engine stacks hundreds of chips on one
-kernel and pays for ``expm`` exactly once.
+kernel and pays for ``expm`` exactly once. :func:`shared_kernel` memoises
+one kernel per (floorplan, package), so standalone models of one chip
+share it too.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -142,12 +145,19 @@ class ThermalKernel:
 
     def __init__(self, floorplan: Floorplan, package: ThermalPackage):
         """Build and factor the network; propagators are built lazily."""
-        self.floorplan = floorplan
+        # Weak, so the kernel memo (keyed weakly by floorplan) does not
+        # keep its own key alive; the network holds no floorplan at all.
+        self._floorplan = weakref.ref(floorplan)
         self.package = package
         self.network: RCNetwork = build_rc_network(floorplan, package)
         self._g_lu = lu_factor(self.network.conductance)
         self._c_inv = 1.0 / self.network.capacitance
         self._propagators: Dict[str, StepOperator] = {}
+
+    @property
+    def floorplan(self) -> Optional[Floorplan]:
+        """The floorplan this kernel was built for (``None`` once freed)."""
+        return self._floorplan()
 
     def operator_for(self, dt: float) -> StepOperator:
         """The cached affine :class:`StepOperator` for a step size.
@@ -183,9 +193,43 @@ class ThermalKernel:
         return list(self._propagators)
 
     def steady_state(self, block_power_w: Sequence[float]) -> np.ndarray:
-        """Steady-state node temperatures under constant block powers."""
+        """Steady-state node temperatures under constant block powers.
+
+        Raises:
+            ValueError: If a block power is NaN or infinite.
+        """
         u = self.network.input_vector(np.asarray(block_power_w, dtype=float))
-        return lu_solve(self._g_lu, u)
+        if not np.isfinite(u).all():
+            raise ValueError("block powers must be finite")
+        # The LU factor of a finite conductance matrix is finite by
+        # construction, so only the right-hand side needs checking; doing
+        # it here keeps the ValueError whatever scipy's check_finite scans.
+        return lu_solve(self._g_lu, u, check_finite=False)
+
+
+#: Memoised kernels keyed by floorplan *object* (weak, so a discarded
+#: plan frees its kernels) then by the (hashable, frozen) package — the
+#: same scheme as :func:`~repro.thermal.rc_network.build_rc_network`.
+_KERNEL_CACHE: "weakref.WeakKeyDictionary[Floorplan, Dict[ThermalPackage, ThermalKernel]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def shared_kernel(floorplan: Floorplan, package: ThermalPackage) -> ThermalKernel:
+    """The memoised :class:`ThermalKernel` for a floorplan and package.
+
+    Every caller asking for the same floorplan instance and an equal
+    package gets one kernel, so its LU factor and its propagators
+    (``expm`` per step size) are computed once per chip rather than once
+    per simulator.
+    """
+    per_plan = _KERNEL_CACHE.get(floorplan)
+    if per_plan is None:
+        per_plan = _KERNEL_CACHE.setdefault(floorplan, {})
+    kernel = per_plan.get(package)
+    if kernel is None:
+        kernel = per_plan.setdefault(package, ThermalKernel(floorplan, package))
+    return kernel
 
 
 class ThermalModel:
@@ -198,10 +242,10 @@ class ThermalModel:
             supported but recompute the propagator (cached per exact
             size).
         kernel: Optional pre-built :class:`ThermalKernel` to share. Must
-            have been built from the same floorplan and package objects;
-            when omitted, a private kernel is constructed. Sharing a
-            kernel shares only matrices — the temperature state is always
-            per-model.
+            have been built from the same floorplan object and an equal
+            package; when omitted, the memoised :func:`shared_kernel` for
+            the pair is used. Sharing a kernel shares only matrices — the
+            temperature state is always per-model.
     """
 
     def __init__(
@@ -215,8 +259,8 @@ class ThermalModel:
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if kernel is None:
-            kernel = ThermalKernel(floorplan, package)
-        elif kernel.floorplan is not floorplan or kernel.package is not package:
+            kernel = shared_kernel(floorplan, package)
+        elif kernel.floorplan is not floorplan or kernel.package != package:
             raise ValueError(
                 "kernel was built for a different floorplan/package; "
                 "share kernels only between models of the same chip"

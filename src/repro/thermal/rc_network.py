@@ -26,8 +26,8 @@ the ambient enters as a fixed-temperature boundary on the sink node.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -56,6 +56,14 @@ class RCNetwork:
     capacitance: np.ndarray
     ambient_c: float
     ambient_conductance: float
+    _index: Dict[str, int] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        """Build the name -> index map once; :meth:`index` is a lookup."""
+        for i, name in enumerate(self.node_names):
+            self._index.setdefault(name, i)  # first occurrence, as tuple.index
 
     @property
     def n_nodes(self) -> int:
@@ -68,10 +76,10 @@ class RCNetwork:
         return self.n_nodes - 2
 
     def index(self, name: str) -> int:
-        """Index of a node by name."""
+        """Index of a node by name (``KeyError`` for an unknown name)."""
         try:
-            return self.node_names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise KeyError(f"no node named {name!r}") from None
 
     def input_vector(self, block_power_w: np.ndarray) -> np.ndarray:

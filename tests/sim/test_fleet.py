@@ -429,6 +429,54 @@ class TestScenarioBitIdentity:
                 result, member.sim, workload, spec, cfg
             )
 
+    def test_mesh64_default_policies_match_scalar(self):
+        """mesh64 members of every policy the manycore sweep runs match
+        their scalar runs: the per-core folds at 64 cores, both stop-go
+        scopes, both DVFS scopes and a migration tick."""
+        from repro.experiments.manycore import DEFAULT_POLICY_KEYS
+
+        members, workload = self._members(
+            "mesh64", [None, *DEFAULT_POLICY_KEYS], duration_s=0.0025
+        )
+        engine = FleetEngine(members)
+        for result, member, (_, spec, cfg) in zip(
+            engine.run(), engine.members, members
+        ):
+            assert_member_matches_scalar(
+                result, member.sim, workload, spec, cfg
+            )
+
+    def test_mesh64_global_dvfs_nan_dropouts_match_scalar(self):
+        """Global DVFS on mesh64 with NaN dropouts on core 0 (the chip-hot
+        fold's first reading) and on a later core: the fleet's chip-hot
+        selection keeps a NaN first reading and skips later NaNs, exactly
+        as the scalar ``max`` does."""
+        from repro.faults.models import DropoutFault, FaultPlan
+
+        (member,), workload = self._members(
+            "mesh64", ["global-dvfs-none"], duration_s=0.0025
+        )
+        _, spec, cfg = member
+        plan = FaultPlan(
+            name="nan-dropouts",
+            faults=(
+                DropoutFault(core=0, start_s=0.0005, end_s=0.002, prob=0.5,
+                             mode="nan"),
+                DropoutFault(core=37, unit="fpreg", start_s=0.0, end_s=0.002,
+                             prob=0.3, mode="nan"),
+            ),
+        )
+        members = [
+            (workload, spec, replace(cfg, fault_plan=plan, seed=seed))
+            for seed in (3, 4)
+        ]
+        engine = FleetEngine(members)
+        for result, member, (_, s, c) in zip(
+            engine.run(), engine.members, members
+        ):
+            assert result.faults.sensor_faulted_samples > 0
+            assert_member_matches_scalar(result, member.sim, workload, s, c)
+
     def test_mixed_scenario_batch_groups_cleanly(self):
         """One batch mixing the default 4-core chip with mesh16 members
         must place them on distinct substrates and still match scalar."""

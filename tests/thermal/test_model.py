@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.thermal.floorplan import Floorplan
 from repro.thermal.layouts import build_cmp_floorplan
 from repro.thermal.model import ThermalKernel, ThermalModel
 from repro.thermal.package import HIGH_PERFORMANCE_PACKAGE
@@ -13,7 +14,14 @@ DT = 100_000 / 3.6e9
 
 
 def make_model() -> ThermalModel:
-    return ThermalModel(build_cmp_floorplan(), HIGH_PERFORMANCE_PACKAGE, DT)
+    """A model on a private floorplan object, hence a private kernel.
+
+    Standalone models share the memoised kernel of their floorplan; the
+    propagator-cache tests below count one model's own entries, so each
+    model gets a floorplan no other test has stepped.
+    """
+    fp = Floorplan(build_cmp_floorplan().blocks)
+    return ThermalModel(fp, HIGH_PERFORMANCE_PACKAGE, DT)
 
 
 @pytest.fixture()
